@@ -296,9 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--workers", type=int, default=1, metavar="N",
                            help="worker processes; N > 1 starts the "
                                 "sharded pre-fork pool behind a router "
-                                "(checkpoints shared zero-copy, requests "
-                                "sharded by model name, 429+Retry-After "
-                                "on overload) (default: 1)")
+                                "(requests sharded by model name, "
+                                "429+Retry-After on overload) (default: 1)")
     serve_cmd.add_argument("--max-inflight", type=int, default=64,
                            metavar="N",
                            help="pool mode: per-worker admission bound — "
@@ -783,7 +782,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"jobs {'off' if args.no_jobs else 'on'})",
           file=sys.stderr)
     # SIGTERM must run the same cleanup as Ctrl-C: the pool path owns
-    # worker processes and /dev/shm segments that server_close releases.
+    # worker processes that server_close stops.
     import signal
 
     def _terminate(signum, frame):

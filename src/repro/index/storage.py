@@ -1,8 +1,8 @@
 """Memory-mapped access to arrays inside an uncompressed checkpoint.
 
 A repro checkpoint is an NPZ file — a zip archive of ``.npy`` members.
-When the archive is *stored* rather than deflated (see
-``checkpoint_compressed`` in :mod:`repro.serialize`), every member's
+When the archive is *stored* rather than deflated (as
+:func:`repro.serialize.save_checkpoint` always writes it), every member's
 array data sits as a contiguous, aligned byte run inside the file, which
 means the kernel's page cache can serve it directly: map the whole file
 once, expose each member as a zero-copy :func:`numpy.frombuffer` view,

@@ -174,7 +174,7 @@ class PoolRouter(ThreadingHTTPServer):
         return counters
 
     def server_close(self) -> None:
-        """Stop the router socket, then the workers and their segments."""
+        """Stop the router socket, then the workers."""
         super().server_close()
         jobs = getattr(self, "jobs", None)
         if jobs is not None:
@@ -544,7 +544,6 @@ def create_pool_server(model_dir: str | Path, *, host: str = "127.0.0.1",
                        micro_batching: bool = True,
                        reload_interval: float | None = None,
                        wal_dir: str | Path | None = None,
-                       shared_memory: bool = True,
                        start_method: str | None = None,
                        jobs: bool = True,
                        jobs_dir: str | Path | None = None,
@@ -552,12 +551,11 @@ def create_pool_server(model_dir: str | Path, *, host: str = "127.0.0.1",
     """Build and start the sharded serving pool behind one router socket.
 
     The mirror of :func:`repro.serve.create_server` for ``--workers N``:
-    WAL recovery runs once in this process, checkpoints are published to
-    shared memory, ``workers`` serving processes are forked and
-    supervised, and the returned router (bound to ``host:port``; ``port=0``
-    for ephemeral) shards requests across them.  ``serve_forever()`` to
-    run; ``shutdown()`` + ``server_close()`` stops the router *and* the
-    workers.
+    WAL recovery runs once in this process, ``workers`` serving processes
+    are forked and supervised, and the returned router (bound to
+    ``host:port``; ``port=0`` for ephemeral) shards requests across them.
+    ``serve_forever()`` to run; ``shutdown()`` + ``server_close()`` stops
+    the router *and* the workers.
 
     Unlike ``create_server`` the workers are already running when this
     returns — construction is the pool's boot.
@@ -572,7 +570,7 @@ def create_pool_server(model_dir: str | Path, *, host: str = "127.0.0.1",
                       max_loaded=max_loaded, max_batch_rows=max_batch_rows,
                       max_delay=max_delay, micro_batching=micro_batching,
                       reload_interval=reload_interval, wal_dir=wal_dir,
-                      shared_memory=shared_memory, start_method=start_method)
+                      start_method=start_method)
     manager = None
     if jobs:
         manager = JobManager(jobs_dir or Path(model_dir) / "jobs",

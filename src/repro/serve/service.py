@@ -454,9 +454,12 @@ class PredictService:
                 raise ServingError(f"'vectors' is not numeric: {exc}") from exc
             if matrix.ndim != 2 or 0 in matrix.shape:
                 raise ServingError("'vectors' must be a non-empty 2-D array")
-            # Reject wrong-width vectors *before* they join a shared
-            # micro-batch, where the stacking error would propagate to every
+            # Reject wrong-width and non-finite vectors *before* they join a
+            # shared micro-batch, where the failure would propagate to every
             # concurrent (innocent) request in the same tick.
+            if not np.isfinite(matrix).all():
+                raise ServingError(
+                    "'vectors' must be finite (no NaN or Infinity)")
             expected = loaded.metadata.get("n_features")
             if expected is not None and matrix.shape[1] != expected:
                 raise ServingError(

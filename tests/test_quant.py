@@ -29,11 +29,7 @@ from repro.index import (
     ScalarQuantizer,
     VectorIndex,
 )
-from repro.serialize import (
-    read_checkpoint_header,
-    rotate_checkpoint,
-    save_checkpoint,
-)
+from repro.serialize import read_checkpoint_header, rotate_checkpoint
 from repro.utils.metrics_dispatch import squared_euclidean_distances
 
 
@@ -268,7 +264,7 @@ class TestMappedCheckpoints:
     def test_mapped_arrays_rejects_compressed_checkpoints(self, tmp_path):
         X, _ = clustered(50, dim=8)
         path = tmp_path / "flat.npz"
-        FlatIndex().build(X).save(path)   # deflated NPZ
+        np.savez_compressed(path, vectors=X)   # deflated NPZ
         with pytest.raises(VectorIndexError, match="compressed"):
             MappedArrays(path)
 

@@ -9,6 +9,9 @@ piece of fitted state; these tests would catch that for each algorithm.
 
 from __future__ import annotations
 
+import struct
+import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +25,11 @@ from repro.serialize import (
     CHECKPOINT_VERSION,
     load_checkpoint,
     read_checkpoint_header,
+    rotate_checkpoint,
     save_checkpoint,
 )
 from repro.clustering import KMeans
+from repro.serve import ModelRegistry
 from repro.tasks import embed_columns, embed_records, embed_tables
 from repro.tasks.base import CLUSTERER_NAMES, make_clusterer
 
@@ -54,6 +59,27 @@ def task_matrices():
     reset_cache()
 
 
+def _compress_types(path) -> set[int]:
+    with zipfile.ZipFile(path) as archive:
+        return {info.compress_type for info in archive.infolist()}
+
+
+def _flip_member_byte(path, member: str) -> None:
+    """Invert the last data byte of one NPZ member (inside its array)."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    with open(path, "r+b") as handle:
+        # Local file header: 30 fixed bytes, then the name and extra field.
+        handle.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", handle.read(4))
+        offset = (info.header_offset + 30 + name_len + extra_len
+                  + info.compress_size - 1)
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ 0xFF]))
+
+
 @pytest.mark.parametrize("algorithm", CLUSTERER_NAMES)
 @pytest.mark.parametrize("task", ["schema_inference", "entity_resolution",
                                   "domain_discovery"])
@@ -70,6 +96,8 @@ def test_roundtrip_bit_identical_predict(task, algorithm, task_matrices,
 
     path = tmp_path / f"{task}_{algorithm}.npz"
     save_checkpoint(path, model, metadata={"task": task, "embedding": "sbert"})
+    # Every member is stored, never deflated.
+    assert _compress_types(path) == {zipfile.ZIP_STORED}
     reloaded = load_checkpoint(path)
 
     assert type(reloaded) is type(model)
@@ -106,6 +134,24 @@ class TestFormat:
         assert header["metadata"]["embedding"] == "sbert"
         loaded = load_checkpoint(path)
         assert loaded.checkpoint_header_["metadata"]["task"] == \
+            "schema_inference"
+
+    def test_deflated_checkpoint_from_earlier_releases_loads(self, tmp_path):
+        """Checkpoints written with deflate (as earlier releases did) load."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 6))
+        model = make_clusterer("ae_kmeans", 4, config=_FAST, seed=0)
+        model.fit_predict(X)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, metadata={"task": "schema_inference"})
+        with np.load(path, allow_pickle=False) as payload:
+            entries = {name: payload[name] for name in payload.files}
+        np.savez_compressed(path, **entries)
+        assert _compress_types(path) == {zipfile.ZIP_DEFLATED}
+
+        reloaded = load_checkpoint(path)
+        assert np.array_equal(reloaded.predict(X), model.predict(X))
+        assert reloaded.checkpoint_header_["metadata"]["task"] == \
             "schema_inference"
 
     def test_unfitted_model_cannot_be_saved(self, tmp_path):
@@ -188,6 +234,26 @@ class TestCorruption:
         np.savez(path, **entries)
         with pytest.raises(SerializationError, match="FutureClusterer"):
             load_checkpoint(path)
+
+    def test_flipped_byte_in_a_member_is_refused(self, tmp_path):
+        path = self._saved(tmp_path)
+        _flip_member_byte(path, "array.cluster_centers.npy")
+        with pytest.raises(SerializationError, match="Bad CRC-32"):
+            load_checkpoint(path)
+
+    def test_reload_keeps_old_weights_over_a_flipped_byte(self, tmp_path):
+        path = self._saved(tmp_path)
+        registry = ModelRegistry(tmp_path)
+        first = registry.get("model")
+        centers = first.model.cluster_centers_.copy()
+        time.sleep(0.01)
+        rng = np.random.default_rng(1)
+        rotated = KMeans(3, seed=1).fit(rng.normal(size=(30, 4)))
+        rotate_checkpoint(path, rotated)
+        _flip_member_byte(path, "array.cluster_centers.npy")
+        assert registry.reload_stale() == []
+        assert registry.get("model") is first
+        assert np.array_equal(first.model.cluster_centers_, centers)
 
     def test_missing_arrays_rejected(self, tmp_path):
         path = self._saved(tmp_path)

@@ -463,6 +463,20 @@ class TestHTTPServer:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
 
+    def test_nan_literal_body_gets_the_400_envelope(self, model_dir,
+                                                   http_server):
+        _server, port = http_server(model_dir)
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/models/webtables/predict",
+            data=b'{"vectors": [[NaN, 0.0], [1.0, Infinity]]}',
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        assert err.value.code == 400
+        error = json.loads(err.value.read())["error"]
+        assert error["code"] == "bad_request"
+        assert "must be finite" in error["message"]
+
     def test_oversized_body_rejected_with_413(self, model_dir, http_server,
                                               monkeypatch):
         import http.client
@@ -541,6 +555,51 @@ class TestPredictService:
             # Correct width still flows through the batcher.
             assert service.predict(
                 "m", {"vectors": X[:1].tolist()})["n_items"] == 1
+
+    def test_non_finite_vectors_never_fail_a_shared_batch(self, tmp_path):
+        """A NaN row is refused alone; valid requests beside it answer."""
+        model, X = _fitted_kmeans()
+        save_checkpoint(tmp_path / "m.npz", model)
+        expected = model.predict(X)
+        poison = X[:1].copy()
+        poison[0, 0] = np.nan
+        failures: list[str] = []
+        refused: list[str] = []
+        with PredictService(ModelRegistry(tmp_path),
+                            max_delay=0.01) as service:
+            for _ in range(5):
+                barrier = threading.Barrier(7)
+
+                def valid(i):
+                    barrier.wait()
+                    try:
+                        body = service.predict(
+                            "m", {"vectors": X[i:i + 1].tolist()})
+                        if body["labels"] != [int(expected[i])]:
+                            failures.append(f"row {i}: {body['labels']}")
+                    except Exception as exc:  # noqa: BLE001 - recorded
+                        failures.append(f"row {i}: {exc}")
+
+                def nan_client():
+                    barrier.wait()
+                    try:
+                        service.predict("m", {"vectors": poison.tolist()})
+                    except ServingError as exc:
+                        refused.append(str(exc))
+
+                threads = [threading.Thread(target=valid, args=(i,))
+                           for i in range(6)]
+                threads.append(threading.Thread(target=nan_client))
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+            for bad in (np.inf, -np.inf):
+                with pytest.raises(ServingError, match="finite"):
+                    service.predict("m", {"vectors": [[bad] * X.shape[1]]})
+        assert failures == []
+        assert len(refused) == 5
+        assert all("finite" in message for message in refused)
 
     def test_eviction_hook_chaining(self, tmp_path):
         model, _ = _fitted_kmeans()

@@ -88,8 +88,8 @@ from .config import (
     ExperimentScale,
 )
 from .data.profiles import DatasetProfile
-from .exceptions import ReproError
-from .index.base import INDEX_BACKENDS
+from .exceptions import IndexMismatchError, ReproError
+from .index.base import INDEX_BACKENDS, refuse_retired_backend
 from .experiments import (
     EXPERIMENTS,
     NON_MATRIX_RESULTS,
@@ -125,6 +125,16 @@ _TASK_DATASETS = {
 
 #: Vector-index backends the CLI exposes (one definition: repro.index).
 _INDEX_BACKENDS = INDEX_BACKENDS
+
+
+def _index_backend(name: str) -> str:
+    """Argparse type of backend names: a removed one names its successor."""
+    try:
+        refuse_retired_backend(name)
+    except IndexMismatchError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
 
 #: Bench subcommand: name -> (pytest target, BENCH json it writes).
 _BENCHES = {
@@ -184,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="KNN-graph path for the graph-based models: "
                               "dense (O(n^2), the paper's layout) or sparse "
                               "(CSR + blocked top-k, O(n*k) memory)")
-    run_cmd.add_argument("--graph-backend",
+    run_cmd.add_argument("--graph-backend", type=_index_backend,
                          choices=("exact",) + _INDEX_BACKENDS, default=None,
                          help="top-k search behind the sparse graph: exact "
                               "(blocked scan) or a repro.index ANN backend "
@@ -251,13 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     train_cmd.add_argument("--format", choices=RESULT_FORMATS,
                            default="table", help="summary output format")
     train_cmd.add_argument("--with-index", nargs="?", const="ivf",
-                           choices=_INDEX_BACKENDS, default=None,
+                           type=_index_backend, choices=_INDEX_BACKENDS,
+                           default=None,
                            metavar="BACKEND",
                            help="also build a similarity-search index over "
                                 "the training embeddings and save it next "
                                 "to the checkpoint as <stem>.index.npz "
-                                "(backend: flat, ivf, hnsw or ivfpq; bare "
-                                "flag means ivf)")
+                                "(backend: flat, ivf or ivfpq; bare flag "
+                                "means ivf)")
 
     serve_cmd = sub.add_parser(
         "serve", help="serve a directory of checkpoints over HTTP")
@@ -396,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream_cmd.add_argument("--format", choices=RESULT_FORMATS,
                             default="table", help="output format")
     stream_cmd.add_argument("--with-index", nargs="?", const="ivf",
-                            choices=_INDEX_BACKENDS, default=None,
+                            type=_index_backend, choices=_INDEX_BACKENDS,
+                            default=None,
                             metavar="BACKEND",
                             help="with --save: maintain a similarity-search "
                                  "index over everything streamed (built on "
@@ -497,11 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="IVF cells to probe for this query "
                                  "(ivf/ivfpq indexes; default: the "
                                  "index's build-time setting)")
-    search_cmd.add_argument("--ef-search", type=int, default=None,
-                            metavar="N",
-                            help="HNSW beam width for this query "
-                                 "(default: the index's build-time "
-                                 "setting)")
     search_cmd.add_argument("--rerank", type=int, default=None,
                             metavar="N",
                             help="exact-distance rerank depth for this "
@@ -959,7 +966,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     supported = index.query_tunables
     tunables = {}
     for field, value in (("nprobe", args.nprobe),
-                         ("ef_search", args.ef_search),
                          ("rerank", args.rerank)):
         if value is None:
             continue

@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..index.base import INDEX_BACKENDS
+from ..index.base import INDEX_BACKENDS, refuse_retired_backend
 from ..utils.metrics_dispatch import pairwise_distances
 from .base import ClusteringResult, FittableMixin, nearest_centers
 from .eps_selection import estimate_eps_elbow
@@ -50,7 +50,7 @@ class DBSCAN(FittableMixin):
         :meth:`partial_fit` issue: ``"exact"`` (the default — a vectorised
         scan over all stored core points), ``"flat"`` (the same scan
         through the :mod:`repro.index` machinery) or the approximate
-        ``"ivf"``/``"hnsw"`` backends, which drop per-query cost below
+        ``"ivf"``/``"ivfpq"`` backends, which drop per-query cost below
         O(n_cores * d) at a small recall cost (a point whose true nearest
         core the index misses may be labelled noise or absorb a
         neighbouring cluster's label).
@@ -62,6 +62,7 @@ class DBSCAN(FittableMixin):
             raise ConfigurationError("eps must be positive (or None to estimate)")
         if min_samples < 1:
             raise ConfigurationError("min_samples must be >= 1")
+        refuse_retired_backend(index)
         if index not in _CORE_QUERY_BACKENDS:
             raise ConfigurationError(
                 f"unknown index backend {index!r}; expected one of "

@@ -41,7 +41,7 @@ class DeepClusteringConfig:
     builds a CSR adjacency with the blocked top-k search and keeps memory at
     O(n * k)).  ``graph_backend`` selects how the sparse graph's top-k
     search runs: ``"exact"`` is the blocked scan; ``"flat"``/``"ivf"``/
-    ``"hnsw"`` route through a :mod:`repro.index` vector index, dropping
+    ``"ivfpq"`` route through a :mod:`repro.index` vector index, dropping
     construction below the O(n^2 d) wall at a sliver of recall.
     ``batch_size`` enables mini-batch training: the auto-encoder
     pre-training always honours it, and SDCN/EDESC additionally fine-tune on
@@ -79,8 +79,9 @@ class DeepClusteringConfig:
         if self.graph not in ("dense", "sparse"):
             raise ConfigurationError(
                 f"graph must be 'dense' or 'sparse', got {self.graph!r}")
-        from .index.base import INDEX_BACKENDS
+        from .index.base import INDEX_BACKENDS, refuse_retired_backend
 
+        refuse_retired_backend(self.graph_backend)
         if self.graph_backend not in ("exact",) + INDEX_BACKENDS:
             raise ConfigurationError(
                 f"graph_backend must be one of "

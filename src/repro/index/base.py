@@ -1,6 +1,6 @@
 """Common machinery for the vector-index backends.
 
-:class:`VectorIndex` owns everything the three backends share — metric
+:class:`VectorIndex` owns everything the backends share — metric
 dispatch (through :mod:`repro.utils.metrics_dispatch`), the external-id
 mapping, the raw-vector store, input validation, the
 ``build/add/query/save/load`` surface and the :mod:`repro.serialize`
@@ -18,6 +18,7 @@ serving API report them uniformly.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,8 @@ from ..exceptions import (
 from ..utils.metrics_dispatch import unit_rows, validate_metric
 from ..utils.validation import check_matrix
 
-__all__ = ["VectorIndex", "create_index", "INDEX_BACKENDS", "INDEX_DTYPE"]
+__all__ = ["VectorIndex", "create_index", "refuse_retired_backend",
+           "INDEX_BACKENDS", "INDEX_DTYPE"]
 
 #: Storage/compute dtype of the index hot path.  Inputs arrive as float64
 #: (the training precision) and are narrowed once at the ``build``/``add``/
@@ -54,8 +56,7 @@ class VectorIndex:
     query batch with ``(positions, distances)``).
     """
 
-    #: Registry key of the backend (``"flat"``, ``"ivf"``, ``"hnsw"``,
-    #: ``"ivfpq"``).
+    #: Registry key of the backend (``"flat"``, ``"ivf"``, ``"ivfpq"``).
     backend: str = ""
 
     #: Query-time tunables the backend accepts (name -> minimum value).
@@ -168,8 +169,8 @@ class VectorIndex:
         distance.  Positions index :attr:`ids` / the build order; map them
         through :attr:`ids` for external ids.
 
-        ``tunables`` are per-request recall/latency knobs — ``nprobe`` and
-        ``rerank`` for the IVF family, ``ef_search`` for HNSW (see
+        ``tunables`` are per-request recall/latency knobs — ``nprobe``
+        for every IVF index and ``rerank`` for the quantized ones (see
         :attr:`query_tunables`).  They override the build-time defaults
         for this call only and never mutate the index, so concurrent
         queries with different settings are safe.
@@ -253,42 +254,31 @@ class VectorIndex:
     def checkpoint_params(self) -> dict:
         """JSON-able constructor and structural state."""
         self._require_built()
-        return {"metric": self.metric, "backend": self.backend,
-                **self._state_params()}
+        return {"metric": self.metric, "backend": self.backend}
 
     def checkpoint_arrays(self) -> dict[str, np.ndarray]:
         """Numeric state: raw vectors, ids and backend structure."""
         self._require_built()
-        return {"vectors": self.vectors_, "ids": self.ids_,
-                **self._state_arrays()}
+        return {"vectors": self.vectors_, "ids": self.ids_}
 
     @classmethod
     def from_checkpoint(cls, params: dict, arrays: dict) -> "VectorIndex":
         """Rebuild an index from :mod:`repro.serialize` state."""
-        index = cls(metric=params["metric"], **cls._init_kwargs(params))
-        index.vectors_ = np.asarray(arrays["vectors"], dtype=INDEX_DTYPE)
-        ids = np.asarray(arrays["ids"])
-        index.ids_ = ids if ids.dtype.kind in "US" else ids.astype(np.int64)
-        index._search_vectors = index._as_search(index.vectors_)
-        index._restore(params, arrays)
+        index = cls(metric=params["metric"])
+        index._restore_vectors(arrays)
+        index._rebuild()
         return index
 
-    def _state_params(self) -> dict:
-        """Backend-specific JSON-able state merged into the header params."""
-        return {}
+    def _restore_vectors(self, arrays: dict) -> None:
+        """Take the raw ``vectors`` and the ``ids`` from checkpoint arrays."""
+        self.vectors_ = np.asarray(arrays["vectors"], dtype=INDEX_DTYPE)
+        self._search_vectors = self._as_search(self.vectors_)
+        self.ids_ = self._stored_ids(arrays)
 
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        """Backend-specific arrays merged into the checkpoint payload."""
-        return {}
-
-    @classmethod
-    def _init_kwargs(cls, params: dict) -> dict:
-        """Constructor kwargs recovered from checkpoint params."""
-        return {}
-
-    def _restore(self, params: dict, arrays: dict) -> None:
-        """Restore backend structure (default: rebuild it from the vectors)."""
-        self._rebuild()
+    @staticmethod
+    def _stored_ids(arrays: dict) -> np.ndarray:
+        ids = np.asarray(arrays["ids"])
+        return ids if ids.dtype.kind in "US" else ids.astype(np.int64)
 
     # ------------------------------------------------------------------
     # save / load convenience over repro.serialize
@@ -347,21 +337,20 @@ class VectorIndex:
         return index
 
 
-def _backends() -> dict[str, type]:
-    """Backend name -> index class (import-light: resolved lazily)."""
-    from .flat import FlatIndex
-    from .hnsw import HNSWIndex
-    from .ivf import IVFFlatIndex
-    from .ivfpq import IVFPQIndex
-
-    return {FlatIndex.backend: FlatIndex,
-            IVFFlatIndex.backend: IVFFlatIndex,
-            HNSWIndex.backend: HNSWIndex,
-            IVFPQIndex.backend: IVFPQIndex}
-
-
 #: Names accepted by :func:`create_index` (and the CLI/graph backends).
-INDEX_BACKENDS = ("flat", "ivf", "hnsw", "ivfpq")
+INDEX_BACKENDS = ("flat", "ivf", "ivfpq")
+
+#: Backends of earlier releases -> the backend that replaces them.
+RETIRED_BACKENDS = {"hnsw": "ivf"}
+
+
+def refuse_retired_backend(name: str) -> None:
+    """Raise :class:`IndexMismatchError` if ``name`` is a removed backend."""
+    replacement = RETIRED_BACKENDS.get(name)
+    if replacement is not None:
+        raise IndexMismatchError(
+            f"index backend {name!r} has been removed; use {replacement!r} "
+            "instead")
 
 
 def create_index(backend: str, *, metric: str = "cosine",
@@ -369,15 +358,21 @@ def create_index(backend: str, *, metric: str = "cosine",
     """Instantiate an index backend by name.
 
     Extra keyword arguments are passed to the backend constructor
-    (``nlist``/``nprobe`` for IVF, ``m``/``ef_construction``/``ef_search``
-    for HNSW, ``nlist``/``nprobe``/``m``/``rerank``/``coding`` for
-    IVF-PQ); unknown backends raise
+    (``nlist``/``nprobe``/``seed`` for IVF, plus ``m``/``rerank``/
+    ``coding`` for IVF-PQ).  A removed backend raises
+    :class:`~repro.exceptions.IndexMismatchError` naming its
+    replacement; other unknown backends raise
     :class:`~repro.exceptions.ConfigurationError`.
     """
-    classes = _backends()
-    cls = classes.get(backend)
-    if cls is None:
+    from .flat import FlatIndex  # import-light: resolved lazily
+    from .ivfpq import IVFPQIndex
+
+    refuse_retired_backend(backend)
+    constructors = {"flat": FlatIndex,
+                    "ivf": partial(IVFPQIndex, coding="none"),
+                    "ivfpq": IVFPQIndex}
+    if backend not in constructors:
         raise ConfigurationError(
             f"unknown index backend {backend!r}; expected one of "
-            f"{sorted(classes)}")
-    return cls(metric=metric, **params)
+            f"{sorted(constructors)}")
+    return constructors[backend](metric=metric, **params)

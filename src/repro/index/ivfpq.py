@@ -1,16 +1,25 @@
-"""IVF-PQ: inverted lists of quantized codes with exact top-R rerank.
+"""IVF: a k-means coarse quantizer over inverted lists of raw or coded cells.
 
-The million-vector backend.  Like :class:`repro.index.IVFFlatIndex` a
-k-means coarse quantizer routes each vector to one of ``nlist`` cells and
-a query scans only the ``nprobe`` nearest cells — but inside a cell the
-corpus is stored as *codes* (:mod:`repro.index.quant`), not floats:
+The one inverted-file engine (FAISS's ``IndexIVFFlat`` and
+``IndexIVFPQ`` in one class).  A k-means quantizer —
+:class:`repro.clustering.KMeans`, trained on a bounded sample —
+partitions the corpus into ``nlist`` cells, and a query scans only the
+``nprobe`` cells whose centroids are nearest, so work per query drops
+from ``O(n*d)`` to roughly ``O((nlist + n*nprobe/nlist) * d)``.
+``nprobe`` trades recall for speed at query time without rebuilding.
+``coding`` chooses what a cell holds:
 
-* ``coding="pq"`` (default) — :class:`ProductQuantizer` codes, ``m``
-  bytes per vector.  Candidates are scored by asymmetric distance: one
-  lookup-table build per probed cell, then ``m`` table reads per
-  candidate.
-* ``coding="sq"`` — :class:`ScalarQuantizer` codes, ``d`` bytes per
-  vector, scored against the int8 reconstructions.
+* ``coding="none"`` (backend ``"ivf"``) — the raw float32 vectors,
+  scored exactly with no quantizer and no rerank (``nprobe`` is its only
+  tunable).  A batch of at least ``nlist`` queries (the KNN-graph build)
+  is answered with one matmul per cell over every query that probes it.
+* ``coding="pq"`` (default, backend ``"ivfpq"``) —
+  :class:`ProductQuantizer` codes, ``m`` bytes per vector.  Candidates
+  are scored by asymmetric distance: one lookup-table build per probed
+  cell, then ``m`` table reads per candidate.
+* ``coding="sq"`` (backend ``"ivfpq"``) — :class:`ScalarQuantizer`
+  codes, ``d`` bytes per vector, scored against the int8
+  reconstructions.
 
 Codes quantize *residuals* (``x - centroid(cell)``), IVFADC-style: every
 member of a cell shares the coarse term, so spending the code budget on
@@ -25,21 +34,28 @@ returned distances are true metric distances and recall recovers from
 quantization error without widening ``nprobe``.  ``nprobe`` and
 ``rerank`` are per-request tunables (:meth:`VectorIndex.query`).
 
-Both metrics run on one score: vectors are unit-normalised at insert for
-``metric="cosine"`` and squared Euclidean ordering on the unit sphere is
-exactly cosine ordering, so a single squared-distance ADC serves both.
+Both metrics run on one quantizer: vectors are unit-normalised at insert
+for ``metric="cosine"``, and squared Euclidean ordering on the unit
+sphere is exactly cosine ordering.
 
-Checkpoints are where this backend departs from its siblings.  It stores
-every cell's codes and exact vectors as separate members
-(``cell.NNNNNN.codes`` / ``cell.NNNNNN.vecs``) marked lazy
-(``lazy_array_prefix``): :func:`repro.serialize.load_checkpoint` skips
-them and re-attaches the file through
+Incremental :meth:`IVFPQIndex.add` routes new vectors to their nearest
+existing cell (the streaming write path); only a fresh
+:meth:`IVFPQIndex.build` retrains the quantizers.
+
+Checkpoints store every cell as separate members — ``cell.NNNNNN.vecs``
+for all codings, plus ``cell.NNNNNN.codes`` for ``pq``/``sq`` — marked
+lazy (``lazy_array_prefix``): :func:`repro.serialize.load_checkpoint`
+skips them and re-attaches the file through
 :class:`repro.index.storage.MappedArrays` instead.  A loaded index keeps
 only ids, assignments and the quantizers resident — cell data is paged
 in by the OS when a query probes the cell — so corpora larger than RAM
 load in milliseconds and serve within it.  Cell membership is *derived*,
 not stored: a stable argsort of the eagerly-loaded assignments yields
 the per-cell member lists, so attachment touches zero lazy members.
+``add`` on an attached index copies the cells into memory first; the
+mapped file is never written.  :data:`RETIRED_CHECKPOINT_CLASSES` loads
+``IVFFlatIndex`` checkpoints of earlier releases as ``coding="none"``
+and refuses ``HNSWIndex`` ones.
 """
 
 from __future__ import annotations
@@ -48,19 +64,35 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, VectorIndexError
 from ..utils.metrics_dispatch import squared_euclidean_distances
-from .base import INDEX_DTYPE, VectorIndex
-from .ivf import _TRAIN_ITER, _TRAIN_MIN, _TRAIN_PER_LIST, nearest_cells
+from .base import INDEX_DTYPE, VectorIndex, refuse_retired_backend
 from .quant import ProductQuantizer, ScalarQuantizer
 from .storage import MappedArrays
 
-__all__ = ["IVFPQIndex"]
+__all__ = ["IVFPQIndex", "RETIRED_CHECKPOINT_CLASSES", "nearest_cells"]
+
+#: Row block for coarse-quantizer assignment: bounds the ``(rows, nlist)``
+#: distance temporary regardless of corpus size (the 1M-vector builds).
+_ASSIGN_BLOCK = 16384
+
+#: Coarse-quantizer k-means training sample: ``max(_TRAIN_MIN,
+#: _TRAIN_PER_LIST * nlist)`` rows, capped at n — centroid quality needs
+#: O(points-per-list) examples, not the whole corpus, and the cap is what
+#: keeps build cost bounded at large n (and large d).
+_TRAIN_PER_LIST = 16
+_TRAIN_MIN = 2048
+#: Lloyd iterations for the coarse quantizer (FAISS-style: coarse cells
+#: converge in a few iterations; more buys nothing measurable).
+_TRAIN_ITER = 12
 
 #: Quantizer-training sample cap: codebooks (and scalar ranges) converge
 #: on tens of thousands of rows; training on a full million-row corpus
 #: would dominate build time for no recall gain.
 _QUANT_TRAIN_MAX = 16384
 
-_CODINGS = ("pq", "sq")
+_CODINGS = ("none", "pq", "sq")
+
+#: Constructor parameters recorded in (and restored from) checkpoints.
+_PARAMS = ("nlist", "nprobe", "m", "rerank", "coding", "seed")
 
 #: Checkpoint member names of one cell's payload.  The ``array.`` prefix
 #: is repro.serialize's member namespace — the lazy store reads the same
@@ -69,32 +101,53 @@ _CODES_MEMBER = "array.cell.{:06d}.codes"
 _VECS_MEMBER = "array.cell.{:06d}.vecs"
 
 
+def nearest_cells(Q: np.ndarray, centroids: np.ndarray,
+                  k: int) -> np.ndarray:
+    """Indices of the ``k`` nearest centroids per query row (blocked).
+
+    Assignment at build time and probe selection at query time are the
+    same computation, blocked over query rows so a million-row corpus
+    never materialises an ``(n, nlist)`` distance matrix at once.
+    """
+    out = np.empty((Q.shape[0], min(k, centroids.shape[0])), dtype=np.int64)
+    for start in range(0, Q.shape[0], _ASSIGN_BLOCK):
+        stop = min(start + _ASSIGN_BLOCK, Q.shape[0])
+        d2 = squared_euclidean_distances(Q[start:stop], centroids)
+        if k >= d2.shape[1]:
+            out[start:stop] = np.argsort(d2, axis=1, kind="stable")
+            continue
+        cells = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
+        order = np.argsort(np.take_along_axis(d2, cells, axis=1), axis=1,
+                           kind="stable")
+        out[start:stop] = np.take_along_axis(cells, order, axis=1)
+    return out
+
+
 class IVFPQIndex(VectorIndex):
-    """Inverted-file index over quantized codes with exact reranking.
+    """Inverted-file index over raw or quantized cells.
 
     Parameters
     ----------
     nlist:
-        Number of coarse cells; ``None`` picks ``~sqrt(n)`` at build time.
+        Number of coarse cells; ``None`` picks ``~sqrt(n)`` at build time
+        (re-derived on every :meth:`build`).
     nprobe:
-        Cells scanned per query (per-request tunable ``nprobe``).
+        Cells scanned per query (per-request tunable ``nprobe``).  Raising
+        it monotonically raises recall (``nprobe=nlist`` scans every cell).
     m:
         Product-quantizer sub-spaces (bytes per stored code).  Clamped at
-        build time to the largest divisor of the dimensionality.  Ignored
-        for ``coding="sq"``.
+        build time to the largest divisor of the dimensionality.  Used
+        only by ``coding="pq"``.
     rerank:
         Shortlist size re-scored against exact vectors per query
         (per-request tunable ``rerank``; ``0`` returns raw approximate
-        distances).
+        distances).  Not used by ``coding="none"``, which scores exactly.
     coding:
-        ``"pq"`` (product quantizer) or ``"sq"`` (scalar int8).
+        ``"pq"`` (product quantizer), ``"sq"`` (scalar int8) or
+        ``"none"`` (raw float32 cells, the ``"ivf"`` backend).
     seed:
         Seed for the coarse and product quantizer training.
     """
-
-    backend = "ivfpq"
-
-    _QUERY_TUNABLES = {"nprobe": 1, "rerank": 0}
 
     #: Members under this prefix are skipped at load time and served
     #: lazily from the file via attach_store().
@@ -121,6 +174,9 @@ class IVFPQIndex(VectorIndex):
         self.rerank = int(rerank)
         self.coding = coding
         self.seed = seed
+        # Raw cells are scored exactly: there is nothing to rerank.
+        self._QUERY_TUNABLES = ({"nprobe": 1} if coding == "none"
+                                else {"nprobe": 1, "rerank": 0})
         self.centroids_: np.ndarray | None = None
         self.assignments_: np.ndarray | None = None
         self.quantizer_ = None
@@ -130,12 +186,19 @@ class IVFPQIndex(VectorIndex):
         self._order: np.ndarray | None = None
         self._starts: np.ndarray | None = None
         self._local_of: np.ndarray | None = None
-        # In-memory cell storage (build/add path) ...
+        # In-memory cell storage (build/add path; no codes for "none") ...
         self._cell_codes: list[np.ndarray] | None = None
         self._cell_vecs: list[np.ndarray] | None = None
         # ... or the mmap-backed store (load path); exactly one is set on
         # a built index.
         self._store: MappedArrays | None = None
+        # Squared norms of raw cells, filled by the Euclidean scans.
+        self._cell_sq: dict[int, np.ndarray] = {}
+
+    @property
+    def backend(self) -> str:
+        """``"ivf"`` for raw cells, ``"ivfpq"`` for quantized ones."""
+        return "ivf" if self.coding == "none" else "ivfpq"
 
     # ------------------------------------------------------------------
     # introspection (an attached index has no resident vectors_)
@@ -170,7 +233,8 @@ class IVFPQIndex(VectorIndex):
         """
         self._require_built()
         resident = [self.ids_, self.assignments_, self.centroids_,
-                    self._order, self._starts, self._local_of]
+                    self._order, self._starts, self._local_of,
+                    *self._cell_sq.values()]
         if self.quantizer_ is not None:
             resident.extend(self.quantizer_.state_arrays().values())
         total = sum(a.nbytes for a in resident if a is not None)
@@ -229,6 +293,23 @@ class IVFPQIndex(VectorIndex):
             return self._store[_VECS_MEMBER.format(cell)]
         return self._cell_vecs[cell]
 
+    def _raw_cell(self, cell: int) -> np.ndarray:
+        """One cell's exact vectors, in aligned memory.
+
+        A mapped member may start at any byte offset, and numpy multiplies
+        an unaligned float32 block without BLAS, rounding differently.
+        """
+        block = self._vecs(cell)
+        return block if block.flags.aligned else block.copy()
+
+    def _norms(self, cell: int) -> np.ndarray:
+        """Squared norms of one cell's exact vectors (cached)."""
+        norms = self._cell_sq.get(cell)
+        if norms is None:
+            norms = np.sum(self._raw_cell(cell) ** 2, axis=1)
+            self._cell_sq[cell] = norms
+        return norms
+
     # ------------------------------------------------------------------
     # build / add
     def _train_sample(self, X: np.ndarray, cap: int) -> np.ndarray:
@@ -240,12 +321,7 @@ class IVFPQIndex(VectorIndex):
 
     def _residual_sample(self, X: np.ndarray) -> np.ndarray:
         """Bounded sample of residuals ``x - centroid(cell(x))``."""
-        n = X.shape[0]
-        if n > _QUANT_TRAIN_MAX:
-            rng = np.random.default_rng(self.seed)
-            pick = rng.choice(n, size=_QUANT_TRAIN_MAX, replace=False)
-        else:
-            pick = np.arange(n)
+        pick = self._train_sample(np.arange(X.shape[0]), _QUANT_TRAIN_MAX)
         return X[pick] - self.centroids_[self.assignments_[pick]]
 
     def _code_width(self) -> int:
@@ -271,25 +347,51 @@ class IVFPQIndex(VectorIndex):
                                      dtype=INDEX_DTYPE)
         self.assignments_ = nearest_cells(X, self.centroids_, 1)[:, 0]
         self._derive_layout()
+        self._release_store()
+        self._cell_sq = {}
+        self._cell_vecs = self._split_cells(X)
+        if self.coding == "none":
+            self.quantizer_, self._cell_codes = None, None
+            return
         code_sample = self._residual_sample(X)
         if self.coding == "pq":
             self.quantizer_ = ProductQuantizer(
                 self._effective_m(d), seed=self.seed).train(code_sample)
         else:
             self.quantizer_ = ScalarQuantizer().train(code_sample)
-        self._cell_codes, self._cell_vecs = [], []
-        for cell in range(nlist):
-            vecs = np.ascontiguousarray(X[self._members(cell)])
-            self._cell_vecs.append(vecs)
-            self._cell_codes.append(self._encode_cell(vecs, cell))
-        self._store = None
+        self._cell_codes = [self._encode_cell(vecs, cell)
+                            for cell, vecs in enumerate(self._cell_vecs)]
+
+    def _split_cells(self, X: np.ndarray) -> list[np.ndarray]:
+        """Contiguous per-cell copies of the rows of ``X``."""
+        return [np.ascontiguousarray(X[self._members(cell)])
+                for cell in range(self.centroids_.shape[0])]
 
     def add(self, X, ids=None) -> "IVFPQIndex":
         if self.attached:
-            raise VectorIndexError(
-                "an mmap-attached IVFPQIndex is read-only; rebuild the "
-                "index to add vectors")
+            self._materialise()
         return super().add(X, ids=ids)
+
+    def _materialise(self) -> None:
+        """Copy the mapped cells into memory and close the store.
+
+        The file stays as saved.  Cells hold metric-transformed rows only;
+        those stand in for the raw vectors from here on.
+        """
+        nlist = self.centroids_.shape[0]
+        vecs = [np.array(self._vecs(cell)) for cell in range(nlist)]
+        codes = (None if self.coding == "none"
+                 else [np.array(self._codes(cell)) for cell in range(nlist)])
+        rows = np.empty((self.size, self.dim), dtype=INDEX_DTYPE)
+        rows[self._order] = np.concatenate(vecs)
+        self._cell_vecs, self._cell_codes = vecs, codes
+        self.vectors_ = self._search_vectors = rows
+        self._release_store()
+
+    def _release_store(self) -> None:
+        store, self._store = self._store, None
+        if store is not None:
+            store.close()
 
     def _append(self, start: int) -> None:
         fresh = self._search_vectors[start:]
@@ -298,10 +400,12 @@ class IVFPQIndex(VectorIndex):
         for cell in np.unique(cells):
             joined = cells == cell
             block = np.ascontiguousarray(fresh[joined])
-            self._cell_codes[cell] = np.vstack(
-                [self._cell_codes[cell], self._encode_cell(block, cell)])
+            if self._cell_codes is not None:
+                self._cell_codes[cell] = np.vstack(
+                    [self._cell_codes[cell], self._encode_cell(block, cell)])
             self._cell_vecs[cell] = np.vstack(
                 [self._cell_vecs[cell], block])
+            self._cell_sq.pop(int(cell), None)
         # Appended rows have the largest global positions, so the stable
         # re-derivation lands them at the tail of each cell segment —
         # matching the vstack order above.
@@ -361,6 +465,10 @@ class IVFPQIndex(VectorIndex):
         nprobe = min(tunables.get("nprobe", self.nprobe), nlist)
         rerank = tunables.get("rerank", self.rerank)
         probes = nearest_cells(Q, self.centroids_, nprobe)
+        if self.coding == "none":
+            if Q.shape[0] < nlist:
+                return self._scan_rows(Q, k, probes)
+            return self._scan_cells(Q, k, probes)
         q = Q.shape[0]
         indices = np.empty((q, k), dtype=np.int64)
         distances = np.empty((q, k), dtype=Q.dtype)
@@ -409,36 +517,125 @@ class IVFPQIndex(VectorIndex):
             indices[row], distances[row] = self._top_k(d, pool, k)
         return indices, distances
 
+    def _cell_distances(self, Q: np.ndarray, q_sq: np.ndarray | None,
+                        cell: int) -> np.ndarray:
+        """Exact distances from the rows of ``Q`` to one raw cell."""
+        block = self._raw_cell(cell)
+        if self.metric == "cosine":
+            distances = 1.0 - Q @ block.T
+            np.maximum(distances, 0.0, out=distances)
+            return distances
+        d2 = q_sq[:, None] + self._norms(cell)[None, :] - 2.0 * (Q @ block.T)
+        return np.sqrt(np.maximum(d2, 0.0))
+
+    def _scan_rows(self, Q: np.ndarray, k: int,
+                   probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Raw cells, few queries: one small matmul per probed cell.
+
+        Cells are disjoint, so the per-row pool needs no dedup.
+        """
+        q = Q.shape[0]
+        indices = np.empty((q, k), dtype=np.int64)
+        distances = np.empty((q, k), dtype=Q.dtype)
+        q_sq = None if self.metric == "cosine" else np.sum(Q ** 2, axis=1)
+        for row in range(q):
+            query = Q[row:row + 1]
+            row_sq = None if q_sq is None else q_sq[row:row + 1]
+            pools, dists = [], []
+            for cell in probes[row]:
+                if self._starts[cell] == self._starts[cell + 1]:
+                    continue
+                pools.append(self._members(cell))
+                dists.append(self._cell_distances(query, row_sq, cell)[0])
+            pool = (np.concatenate(pools) if pools
+                    else np.empty(0, dtype=np.int64))
+            if pool.size < k:
+                pool = self._pad_pool(pool, k)
+                d = self._exact_distances(query, pool)
+            else:
+                d = np.concatenate(dists)
+            indices[row], distances[row] = self._top_k(d, pool, k)
+        return indices, distances
+
+    def _scan_cells(self, Q: np.ndarray, k: int,
+                    probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Raw cells, many queries: one matmul per cell.
+
+        The KNN-graph build queries the corpus with itself; looping over
+        cells instead of rows keeps that at ``nlist`` well-shaped matmuls
+        whatever the query count, each scanning one cell against every
+        query that probes it (at whatever probe rank).
+        """
+        q, nprobe = Q.shape[0], probes.shape[1]
+        q_sq = None if self.metric == "cosine" else np.sum(Q ** 2, axis=1)
+        pool_d = np.full((q, nprobe * k), np.inf, dtype=Q.dtype)
+        pool_i = np.zeros((q, nprobe * k), dtype=np.int64)
+        for cell in range(self.centroids_.shape[0]):
+            members = self._members(cell)
+            if members.size == 0:
+                continue
+            rows, ranks = np.nonzero(probes == cell)
+            if rows.size == 0:
+                continue
+            row_sq = None if q_sq is None else q_sq[rows]
+            d = self._cell_distances(Q[rows], row_sq, cell)
+            take = min(k, members.size)
+            if members.size > take:
+                keep = np.argpartition(d, kth=take - 1, axis=1)[:, :take]
+                block_d = np.take_along_axis(d, keep, axis=1)
+                block_i = members[keep]
+            else:
+                block_d = d
+                block_i = np.broadcast_to(members, d.shape)
+            # Each (query, cell) pair owns the rank-th k-wide pool slot.
+            cols = ranks[:, None] * k + np.arange(take)[None, :]
+            pool_d[rows[:, None], cols] = block_d
+            pool_i[rows[:, None], cols] = block_i
+        # Vectorised finalise: top-k of each pool row, ties broken by
+        # position (lexsort) for determinism.
+        filled = np.isfinite(pool_d).sum(axis=1)
+        keep = np.argpartition(pool_d, kth=k - 1, axis=1)[:, :k]
+        cand_d = np.take_along_axis(pool_d, keep, axis=1)
+        cand_i = np.take_along_axis(pool_i, keep, axis=1)
+        order = np.lexsort((cand_i, cand_d))
+        indices = np.take_along_axis(cand_i, order, axis=1)
+        distances = np.take_along_axis(cand_d, order, axis=1)
+        # Rows whose probed cells under-filled the pool (rare): back-fill
+        # candidates and redo that row exactly.
+        for row in np.flatnonzero(filled < k):
+            pool = pool_i[row][np.isfinite(pool_d[row])]
+            cand = self._pad_pool(pool, k)
+            d = self._exact_distances(Q[row:row + 1], cand)
+            indices[row], distances[row] = self._top_k(d, cand, k)
+        return indices, distances
+
     # ------------------------------------------------------------------
     # checkpoint protocol
-    def _state_params(self) -> dict:
-        return {"nlist": self.nlist, "nprobe": self.nprobe, "m": self.m,
-                "rerank": self.rerank, "coding": self.coding,
-                "seed": self.seed}
-
-    @classmethod
-    def _init_kwargs(cls, params: dict) -> dict:
-        return {"nlist": params["nlist"], "nprobe": params["nprobe"],
-                "m": params["m"], "rerank": params["rerank"],
-                "coding": params["coding"], "seed": params["seed"]}
+    def checkpoint_params(self) -> dict:
+        return {**super().checkpoint_params(),
+                **{name: getattr(self, name) for name in _PARAMS}}
 
     def checkpoint_arrays(self) -> dict[str, np.ndarray]:
         # Deliberately no flat "vectors" array: exact vectors live only in
         # the per-cell members, which loaders map lazily.
         self._require_built()
         arrays = {"ids": self.ids_, "centroids": self.centroids_,
-                  "assignments": self.assignments_,
-                  **self.quantizer_.state_arrays()}
+                  "assignments": self.assignments_}
+        if self.quantizer_ is not None:
+            arrays.update(self.quantizer_.state_arrays())
         for cell in range(self.centroids_.shape[0]):
-            arrays[f"cell.{cell:06d}.codes"] = self._codes(cell)
+            if self.coding != "none":
+                arrays[f"cell.{cell:06d}.codes"] = self._codes(cell)
             arrays[f"cell.{cell:06d}.vecs"] = self._vecs(cell)
         return arrays
 
     @classmethod
     def from_checkpoint(cls, params: dict, arrays: dict) -> "IVFPQIndex":
-        index = cls(metric=params["metric"], **cls._init_kwargs(params))
-        ids = np.asarray(arrays["ids"])
-        index.ids_ = ids if ids.dtype.kind in "US" else ids.astype(np.int64)
+        """Restore the resident state; :meth:`attach_store` maps the cells."""
+        index = cls(metric=params["metric"],
+                    **{name: params[name] for name in _PARAMS
+                       if name in params})
+        index.ids_ = index._stored_ids(arrays)
         index.centroids_ = np.asarray(arrays["centroids"], dtype=INDEX_DTYPE)
         index.assignments_ = np.asarray(arrays["assignments"],
                                         dtype=np.int64)
@@ -449,17 +646,6 @@ class IVFPQIndex(VectorIndex):
         elif "sq_min" in arrays:
             index.quantizer_ = ScalarQuantizer.from_state_arrays(arrays)
         index._derive_layout()
-        cell_names = sorted(name for name in arrays
-                            if name.startswith("cell."))
-        if cell_names:
-            # Eagerly materialised cells (a caller that chose not to mmap):
-            # fully resident, behaves like a freshly built index.
-            nlist = index.centroids_.shape[0]
-            index._cell_codes = [np.asarray(arrays[f"cell.{c:06d}.codes"])
-                                 for c in range(nlist)]
-            index._cell_vecs = [np.asarray(arrays[f"cell.{c:06d}.vecs"],
-                                           dtype=INDEX_DTYPE)
-                                for c in range(nlist)]
         return index
 
     def attach_store(self, path) -> None:
@@ -471,11 +657,11 @@ class IVFPQIndex(VectorIndex):
         attached index — it keeps reading its own generation.
         """
         store = MappedArrays(path)
-        expected = _CODES_MEMBER.format(0)
+        expected = _VECS_MEMBER.format(0)
         if self.centroids_.shape[0] > 0 and expected not in store:
             store.close()
             raise VectorIndexError(
-                f"{path} holds no cell members; not an IVF-PQ checkpoint")
+                f"{path} holds no cell members; not an IVF checkpoint")
         self._store = store
         self._cell_codes = None
         self._cell_vecs = None
@@ -489,3 +675,33 @@ class IVFPQIndex(VectorIndex):
                     "n_codes": int(codebooks.shape[1]),
                     "bytes_per_vector": int(codebooks.shape[0])}
         return {"coding": "sq", "bits": 8, "bytes_per_vector": self.dim}
+
+
+# ----------------------------------------------------------------------
+# checkpoints of index classes from earlier releases
+class _IVFFlatCheckpoint:
+    """``IVFFlatIndex`` checkpoints: eager vectors, centroids, assignments."""
+
+    @staticmethod
+    def from_checkpoint(params: dict, arrays: dict) -> IVFPQIndex:
+        # The stored assignments rebuild the cells exactly; the quantizer
+        # is not retrained, so the index answers as the saved one did.
+        index = IVFPQIndex.from_checkpoint({**params, "coding": "none"},
+                                           arrays)
+        index._restore_vectors(arrays)
+        index._cell_vecs = index._split_cells(index._search_vectors)
+        return index
+
+
+class _HNSWCheckpoint:
+    """``HNSWIndex`` checkpoints: the backend is gone, so they are refused."""
+
+    @staticmethod
+    def from_checkpoint(params: dict, arrays: dict) -> IVFPQIndex:
+        refuse_retired_backend("hnsw")
+
+
+#: Checkpoint class names of removed index classes -> their loaders
+#: (consulted by :func:`repro.serialize.checkpointable_classes`).
+RETIRED_CHECKPOINT_CLASSES = {"IVFFlatIndex": _IVFFlatCheckpoint,
+                              "HNSWIndex": _HNSWCheckpoint}

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .exceptions import SerializationError
+from .exceptions import IndexMismatchError, SerializationError
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -68,16 +68,20 @@ def checkpointable_classes() -> dict[str, type]:
     and the model modules never need to import this one (no cycles).
     Besides the clustering models this covers the :mod:`repro.index`
     vector indexes, so similarity-search indexes persist, hot-reload and
-    rotate through exactly the same machinery as model checkpoints.
+    rotate through exactly the same machinery as model checkpoints —
+    including the class names of removed index classes, whose
+    checkpoints are converted or refused on load.
     """
     from .clustering import DBSCAN, Birch, KMeans
     from .dc import EDESC, SDCN, SHGP, Autoencoder, AutoencoderClustering
-    from .index import FlatIndex, HNSWIndex, IVFFlatIndex, IVFPQIndex
+    from .index import FlatIndex, IVFPQIndex
+    from .index.ivfpq import RETIRED_CHECKPOINT_CLASSES
 
-    return {cls.__name__: cls
-            for cls in (KMeans, Birch, DBSCAN, Autoencoder,
-                        AutoencoderClustering, SDCN, EDESC, SHGP,
-                        FlatIndex, IVFFlatIndex, HNSWIndex, IVFPQIndex)}
+    return {**{cls.__name__: cls
+               for cls in (KMeans, Birch, DBSCAN, Autoencoder,
+                           AutoencoderClustering, SDCN, EDESC, SHGP,
+                           FlatIndex, IVFPQIndex)},
+            **RETIRED_CHECKPOINT_CLASSES}
 
 
 def fsync_directory(path: str | Path) -> None:
@@ -328,7 +332,7 @@ def load_checkpoint(path: str | Path):
         model = cls.from_checkpoint(header["params"], arrays)
         if skip is not None:
             model.attach_store(source)
-    except SerializationError:
+    except (SerializationError, IndexMismatchError):
         raise
     except Exception as exc:
         raise SerializationError(

@@ -43,8 +43,9 @@ _MAX_NEIGHBORS = 1024
 
 #: Payload fields recognised as per-request index tunables.  Which of
 #: them a given request may use is decided by the *index* (its
-#: ``query_tunables`` contract): ``nprobe``/``rerank`` for the IVF
-#: family, ``ef_search`` for HNSW.
+#: ``query_tunables`` contract): ``nprobe`` for every IVF index,
+#: ``rerank`` for the quantized ones.  ``ef_search`` (of the removed HNSW
+#: backend) stays listed so that a request carrying it gets a 400.
 _TUNABLE_FIELDS = ("ef_search", "nprobe", "rerank")
 
 #: Upper bound on any tunable value: the backends clamp internally, but
@@ -172,8 +173,8 @@ class PredictService:
         vector index.  The payload provides ``"vectors"`` or ``"items"``
         exactly like predict, plus an optional ``"k"`` (default 10) and
         any per-request tunables the index supports (``nprobe``,
-        ``ef_search``, ``rerank`` — validated against the backend's
-        contract, defaulting to its build-time settings).  Concurrent
+        ``rerank`` — validated against the backend's contract,
+        defaulting to its build-time settings).  Concurrent
         requests with the same ``k`` *and* tunables are micro-batched
         into shared index queries.  Returns ids, positions and distances
         per query row, each row ordered nearest first.
@@ -215,8 +216,8 @@ class PredictService:
                         payload) -> dict[str, int]:
         """Validated per-request tunables from a neighbors/search payload.
 
-        Unsupported fields fail loudly (a typo'd ``nprobe`` on an HNSW
-        index should be a 400, not a silently ignored knob); values must
+        Unsupported fields fail loudly (a ``rerank`` on an ``ivf`` index
+        should be a 400, not a silently ignored knob); values must
         be integers within the backend's declared minimum and a global
         sanity cap.
         """

@@ -4,6 +4,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.clustering import DBSCAN
 from repro.exceptions import (
     ConfigurationError,
     DataValidationError,
+    IndexMismatchError,
     ServingError,
     VectorIndexError,
 )
@@ -26,8 +28,6 @@ from repro.index import (
     INDEX_BACKENDS,
     INDEX_DTYPE,
     FlatIndex,
-    HNSWIndex,
-    IVFFlatIndex,
     IVFPQIndex,
     VectorIndex,
     create_index,
@@ -42,10 +42,11 @@ from repro.serialize import (
 from repro.utils import pairwise_distances
 
 ALL_BACKENDS = [FlatIndex,
-                lambda **kw: IVFFlatIndex(nprobe=8, **kw),
-                lambda **kw: HNSWIndex(m=8, ef_construction=60, **kw),
+                lambda **kw: create_index("ivf", nprobe=8, **kw),
                 lambda **kw: IVFPQIndex(nlist=16, nprobe=8, m=4, **kw)]
-BACKEND_IDS = ["flat", "ivf", "hnsw", "ivfpq"]
+BACKEND_IDS = ["flat", "ivf", "ivfpq"]
+
+DATA = Path(__file__).parent / "data"
 
 
 def clustered(n, dim=16, n_clusters=8, seed=0, scale=4.0):
@@ -183,9 +184,9 @@ class TestExactness:
         assert np.allclose(distances, recomputed, atol=1e-3)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    @pytest.mark.parametrize("backend", ["ivf", "hnsw"])
+    @pytest.mark.parametrize("backend", ["ivf"])
     def test_ann_recall_at_default_settings(self, backend, metric):
-        """IVF/HNSW recall@10 >= 0.95 at default settings (clustered data)."""
+        """IVF recall@10 >= 0.95 at default settings (clustered data)."""
         X, centers = clustered(1200, dim=24, seed=3)
         rng = np.random.default_rng(7)
         Q = centers[np.arange(60) % centers.shape[0]] \
@@ -227,7 +228,7 @@ class TestGraphBackends:
         for row in range(X.shape[0]):
             assert set(blocked[row]) == set(via_index[row]), row
 
-    @pytest.mark.parametrize("backend", ["ivf", "hnsw"])
+    @pytest.mark.parametrize("backend", ["ivf"])
     def test_ann_graph_structure_and_recall(self, backend):
         X, _ = clustered(320, dim=16, seed=5)
         exact = sparse_knn_graph(X, 10)
@@ -245,7 +246,7 @@ class TestGraphBackends:
 
     def test_ann_topk_excludes_self(self):
         X, _ = clustered(90, dim=8)
-        for backend in ("flat", "ivf", "hnsw"):
+        for backend in ("flat", "ivf"):
             neighbors = ann_topk_neighbors(X, 5, backend=backend)
             assert neighbors.shape == (90, 5)
             assert (neighbors != np.arange(90)[:, None]).all(), backend
@@ -280,7 +281,7 @@ class TestDBSCANIndexBackends:
         flat = DBSCAN(min_samples=4, index="flat").fit(X).predict(Q)
         assert np.array_equal(exact, flat)
 
-    @pytest.mark.parametrize("backend", ["ivf", "hnsw"])
+    @pytest.mark.parametrize("backend", ["ivf"])
     def test_ann_backends_agree_with_exact(self, backend):
         X, centers = clustered(240, dim=10, seed=2)
         rng = np.random.default_rng(4)
@@ -345,7 +346,7 @@ class TestIndexCheckpoints:
 
     def test_add_after_reload(self, tmp_path):
         X, _ = clustered(120, dim=12)
-        index = IVFFlatIndex(nprobe=4).build(X[:100])
+        index = create_index("ivf", nprobe=4).build(X[:100])
         index.save(tmp_path / "ivf.npz")
         restored = VectorIndex.load(tmp_path / "ivf.npz")
         restored.add(X[100:])
@@ -371,6 +372,71 @@ class TestIndexCheckpoints:
         save_checkpoint(path, KMeans(4, seed=0).fit(X))
         with pytest.raises(VectorIndexError):
             VectorIndex.load(path)
+
+
+class TestRetiredCheckpoints:
+    """Checkpoints and names of index classes from earlier releases.
+
+    ``tests/data`` holds checkpoints written by the release that still
+    had ``IVFFlatIndex`` and ``HNSWIndex``, plus the answers the saved
+    IVF-flat index gave (few queries, many queries, and both again after
+    an ``add``).
+    """
+
+    def test_ivf_flat_checkpoint_answers_bit_identically(self):
+        expected = np.load(DATA / "legacy_ivfflat_expected.npz")
+        index = VectorIndex.load(DATA / "legacy_ivfflat.npz")
+        assert index.backend == "ivf"
+        assert index.query_tunables == {"nprobe": 1}
+        for prefix in ("", "added_"):
+            if prefix:
+                index.add(expected["added"])
+                assert index.size == 220
+            for name in ("few", "many"):
+                positions, distances = index.query(expected[name], 5)
+                assert np.array_equal(
+                    positions, expected[f"{prefix}{name}_positions"])
+                assert np.array_equal(
+                    distances, expected[f"{prefix}{name}_distances"])
+
+    def test_ivf_flat_checkpoint_is_not_retrained(self):
+        index = VectorIndex.load(DATA / "legacy_ivfflat.npz")
+        with np.load(DATA / "legacy_ivfflat.npz") as raw:
+            assert np.array_equal(index.assignments_,
+                                  raw["array.assignments"])
+            assert np.array_equal(index.centroids_, raw["array.centroids"])
+
+    def test_hnsw_checkpoint_is_refused_naming_ivf(self):
+        with pytest.raises(IndexMismatchError, match="'ivf'"):
+            VectorIndex.load(DATA / "legacy_hnsw.npz")
+
+    def test_dbscan_checkpoint_with_hnsw_queries_is_refused(self):
+        with pytest.raises(IndexMismatchError, match="'ivf'"):
+            load_checkpoint(DATA / "legacy_dbscan_hnsw.npz")
+
+    def test_hnsw_backend_name_is_refused_everywhere(self):
+        from repro.config import DeepClusteringConfig
+
+        X, _ = clustered(40, dim=6)
+        refusals = (lambda: create_index("hnsw"),
+                    lambda: DBSCAN(index="hnsw"),
+                    lambda: DeepClusteringConfig(graph_backend="hnsw"),
+                    lambda: sparse_knn_graph(X, 3, backend="hnsw"))
+        for refuse in refusals:
+            with pytest.raises(IndexMismatchError, match="'ivf'"):
+                refuse()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "schema_inference", "--with-index", "hnsw"],
+        ["stream", "schema_inference", "--with-index", "hnsw"],
+        ["run", "table2", "--graph-backend", "hnsw"]])
+    def test_cli_refuses_hnsw_naming_ivf(self, argv, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "use 'ivf' instead" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +467,7 @@ class TestServingNeighbors:
         X, _ = corpus
         save_checkpoint(tmp_path / "model.npz", KMeans(8, seed=0).fit(X),
                         metadata={"n_features": X.shape[1]})
-        index = IVFFlatIndex(nprobe=4).build(
+        index = create_index("ivf", nprobe=4).build(
             X, ids=[f"row-{i}" for i in range(X.shape[0])])
         index.save(tmp_path / "model.index.npz")
         server = create_server(tmp_path, port=0, reload_interval=0.05)
@@ -497,7 +563,7 @@ class TestServingNeighbors:
         for thread in threads:
             thread.start()
         # Two generation swaps while the clients hammer /search.
-        grown = IVFFlatIndex(nprobe=4).build(
+        grown = create_index("ivf", nprobe=4).build(
             np.vstack([X, X[:20] + 0.01]),
             ids=[f"row-{i}" for i in range(X.shape[0] + 20)])
         for _ in range(2):

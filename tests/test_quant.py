@@ -22,12 +22,12 @@ from repro.exceptions import (
 )
 from repro.index import (
     FlatIndex,
-    HNSWIndex,
     IVFPQIndex,
     MappedArrays,
     ProductQuantizer,
     ScalarQuantizer,
     VectorIndex,
+    create_index,
 )
 from repro.serialize import read_checkpoint_header, rotate_checkpoint
 from repro.utils.metrics_dispatch import squared_euclidean_distances
@@ -242,13 +242,26 @@ class TestMappedCheckpoints:
         assert restored._store.touched == {
             f"array.cell.{cell:06d}.codes", f"array.cell.{cell:06d}.vecs"}
 
-    def test_attached_index_is_read_only(self, built, tmp_path):
+    def test_add_on_attached_index_copies_on_write(self, built, tmp_path):
         X, index = built
         path = tmp_path / "ivfpq.index.npz"
         index.save(path)
+        saved = path.read_bytes()
         restored = VectorIndex.load(path)
-        with pytest.raises(VectorIndexError, match="read-only"):
-            restored.add(X[:5])
+        fresh = X[:5] + 0.25
+        restored.add(fresh)
+        # The first add copies the mapped cells into memory and closes
+        # the store; the mapped file is never written.
+        assert not restored.attached
+        assert path.read_bytes() == saved
+        positions, distances = restored.query(fresh, 1)
+        assert np.array_equal(positions[:, 0], np.arange(400, 405))
+        assert (distances[:, 0] < 1e-5).all()
+        index.add(fresh)
+        p1, d1 = index.query(X[:50], 7)
+        p2, d2 = restored.query(X[:50], 7)
+        assert np.array_equal(p1, p2)
+        assert np.array_equal(d1, d2)
 
     def test_attached_memory_excludes_cell_payload(self, built, tmp_path):
         X, index = built
@@ -320,8 +333,8 @@ class TestServingTunables:
         X, _ = clustered(300, dim=12, seed=4)
         IVFPQIndex(nlist=8, nprobe=2, m=4).build(X).save(
             tmp_path / "quantized.npz")
-        HNSWIndex(m=8, ef_construction=40).build(X).save(
-            tmp_path / "graph.npz")
+        create_index("ivf", nlist=8, nprobe=2).build(X).save(
+            tmp_path / "raw.npz")
         with PredictService(ModelRegistry(tmp_path)) as service:
             yield service, X
 
@@ -334,9 +347,9 @@ class TestServingTunables:
         plain = service.neighbors("quantized",
                                   {"vectors": X[:2].tolist(), "k": 4})
         assert "tunables" not in plain
-        graph = service.search({"index": "graph",
-                                "vectors": X[:1].tolist(), "ef_search": 80})
-        assert graph["tunables"] == {"ef_search": 80}
+        raw = service.search({"index": "raw",
+                              "vectors": X[:1].tolist(), "nprobe": 8})
+        assert raw["tunables"] == {"nprobe": 8}
 
     def test_wider_probing_is_served_per_request(self, service):
         service, X = service
@@ -354,8 +367,8 @@ class TestServingTunables:
             service.neighbors("quantized",
                               {"vectors": X[:1].tolist(), "ef_search": 50})
         with pytest.raises(ServingError, match="does not support"):
-            service.neighbors("graph",
-                              {"vectors": X[:1].tolist(), "nprobe": 4})
+            service.neighbors("raw",
+                              {"vectors": X[:1].tolist(), "rerank": 4})
 
     def test_bad_tunable_values_rejected(self, service):
         service, X = service

@@ -487,11 +487,14 @@ class TestStreamScenario:
         assert header["metadata"]["generation"] == len(steps) - 1
         assert header["metadata"]["task"] == "domain_discovery"
 
+    @pytest.mark.parametrize("backend", ["flat", "ivf", "ivfpq"])
     def test_scenario_wal_and_index_recover_after_lost_rotation(
-            self, tmp_path):
+            self, tmp_path, backend):
         """Roll both artifacts back a generation (a crash that lost the
         last rotation) and prove recovery catches model AND index up —
-        including a refit batch, which replays as the same fresh fit."""
+        including a refit batch, which replays as the same fresh fit.
+        Every backend's index catches up, the mmap-attached IVF ones
+        included."""
         import shutil
 
         from repro.serialize import read_checkpoint_header
@@ -503,7 +506,7 @@ class TestStreamScenario:
         steps = run_stream_scenario(
             "schema_inference", dataset=generate_webtables(40, 8, seed=7),
             algorithm="kmeans", n_batches=3, seed=7, save_path=path,
-            wal_dir=tmp_path / "wal", with_index="flat",
+            wal_dir=tmp_path / "wal", with_index=backend,
             monitor=DriftMonitor(shift_threshold=1e-6,
                                  silhouette_drop=1e-6))
         assert any(step.action == "refit" for step in steps[1:])

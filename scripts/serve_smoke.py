@@ -13,7 +13,8 @@ search, ``/metrics``) and the ``--workers 2`` sharded pool behind its
 router (predict, aggregated ``/metrics``).  In each, the Prometheus text
 is validated line by line and the predict counter is asserted to have
 actually incremented.  Each shape also runs an async job end to end
-(``POST /v1/jobs`` -> poll -> ``result?format=csv`` -> dedup resubmit)
+(``POST /v1/jobs`` -> poll -> ``result?format=csv`` -> dedup resubmit,
+with the submit's ``X-Repro-Trace`` equal to the job's ``trace_id``)
 and asserts that legacy unversioned paths still answer — stamped with
 the ``Deprecation``/``Link`` successor headers.
 
@@ -48,11 +49,17 @@ def _get_json(url: str, timeout: float = 5.0):
 
 
 def _post_json(url: str, payload: dict, timeout: float = 10.0):
+    status, _, body = _post_with_headers(url, payload, timeout)
+    return status, body
+
+
+def _post_with_headers(url: str, payload: dict, timeout: float = 10.0):
     request = urllib.request.Request(
         url, data=json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(request, timeout=timeout) as response:
-        return response.status, json.loads(response.read())
+        return (response.status, dict(response.headers),
+                json.loads(response.read()))
 
 
 def _wait_for_address(server: subprocess.Popen,
@@ -148,8 +155,12 @@ def _check_jobs(base: str, label: str, deadline: float,
     completed job instead of executing.
     """
     spec = {**_JOB_SPEC, "seed": seed}
-    status, job = _post_json(f"{base}/v1/jobs", spec)
+    status, headers, job = _post_with_headers(f"{base}/v1/jobs", spec)
     assert status in (200, 201), job
+    # The echoed trace id is the job's own, the one its logs carry.
+    assert headers.get("X-Repro-Trace") == job["trace_id"], \
+        f"{label}: submit traced {headers.get('X-Repro-Trace')!r}, " \
+        f"job {job['trace_id']!r}"
     job_id = job["id"]
     while True:
         if time.monotonic() >= deadline:

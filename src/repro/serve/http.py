@@ -44,10 +44,16 @@ Every error response uses the uniform envelope from
 :mod:`repro.serve.errors`: ``{"error": {"code", "message", "trace_id"}}``
 with a stable machine-readable ``code``.
 
-Every POST opens a request trace: an incoming ``X-Repro-Trace`` header
-(from the pool router) is adopted, otherwise a trace id is minted here,
-and the id is echoed on the response so clients can correlate their
-request with the span breakdowns under ``/v1/stats?verbose=1``.
+Every predict/neighbors/search POST opens a request trace: an incoming
+``X-Repro-Trace`` header (from the pool router) is adopted, otherwise a
+trace id is minted here, and the id is echoed on the response so clients
+can correlate their request with the span breakdowns under
+``/v1/stats?verbose=1``.  ``POST /v1/jobs`` echoes the job's own trace id,
+the one its lifecycle logs carry.
+
+:class:`_BaseHandler` is shared with the pool router
+(:mod:`repro.serve.router`): the send path, body drain, error boundary,
+request metrics and jobs routes exist once for both front ends.
 
 Built on :class:`http.server.ThreadingHTTPServer` — one thread per request,
 with the :class:`~repro.serve.service.PredictService` micro-batcher
@@ -57,12 +63,14 @@ the standard library and numpy.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs
 
+from ..exceptions import ServingError
 from ..obs.metrics import get_registry, obs_enabled, render_prometheus
 from ..obs.trace import TRACE_HEADER, request_trace, valid_trace_id
 from .errors import classify_exception, default_code, error_envelope
@@ -79,7 +87,7 @@ from .routes import (
 from .service import PredictService
 
 __all__ = ["ReproHTTPServer", "create_server", "query_flag",
-           "query_value", "read_request_body"]
+           "query_value"]
 
 #: Dispatch table: the compiled route patterns, straight from the
 #: canonical table (matched against the *unversioned* path).
@@ -121,7 +129,12 @@ def query_value(query: str, name: str) -> str | None:
 
 
 class ReproHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server carrying the shared :class:`PredictService`."""
+    """Threading HTTP server carrying the shared :class:`PredictService`.
+
+    The pool router derives from it with ``service=None`` (it owns no
+    model state), so both front ends share the accept queue, the daemon
+    request threads and the job manager's shutdown.
+    """
 
     daemon_threads = True
     #: The socketserver default backlog of 5 resets connections under a
@@ -129,14 +142,14 @@ class ReproHTTPServer(ThreadingHTTPServer):
     #: simultaneous clients); a deeper accept queue just parks them.
     request_queue_size = 128
 
-    def __init__(self, address, handler, service: PredictService,
+    def __init__(self, address, handler, service: PredictService | None,
                  jobs: JobManager | None = None) -> None:
         super().__init__(address, handler)
         self.service = service
         self.jobs = jobs
 
     def server_close(self) -> None:
-        """Close the socket, the hot-reload watcher and the batcher threads.
+        """Close the socket, the jobs, the hot-reload watcher and batchers.
 
         ``TCPServer.__init__`` calls this on a failed bind, *before* our
         ``__init__`` assigned ``service`` — guard it so the caller sees the
@@ -152,101 +165,124 @@ class ReproHTTPServer(ThreadingHTTPServer):
             service.close()
 
 
-def read_request_body(handler: BaseHTTPRequestHandler) -> bytes | None:
-    """Drain and return the request body, enforcing the size limit.
+class _BaseHandler(BaseHTTPRequestHandler):
+    """What both front ends do alike: drain, match, answer, count.
 
-    Returns ``None`` after answering the client itself (bad or hostile
-    Content-Length, unreadable socket) — callers just return.  Shared by
-    the single-process handler and the pool router, which must apply the
-    same draining discipline before proxying: answering before consuming
-    Content-Length bytes desyncs HTTP/1.1 keep-alive connections (the next
-    request would be parsed starting at the leftover body).
-
-    The handler must provide ``_send_error_json(status, message)``.
+    The single server's :class:`_Handler` and the pool router's handler
+    only implement :meth:`_dispatch` and name their request metrics; the
+    send path, error envelope, exception boundary, request metrics and
+    the jobs and OpenAPI routes live here once.
     """
-    try:
-        length = int(handler.headers.get("Content-Length", 0))
-    except ValueError as exc:
-        handler._send_error_json(400, f"bad Content-Length: {exc}")
-        return None
-    if length < 0:
-        # rfile.read(-1) would block reading until EOF, pinning the
-        # handler thread for as long as the client holds the socket.
-        handler.close_connection = True
-        handler._send_error_json(400, f"bad Content-Length: {length}")
-        return None
-    if length > _MAX_BODY_BYTES:
-        # Answer without reading; the connection cannot be reused after
-        # an undrained body, so close it explicitly.
-        handler.close_connection = True
-        handler._send_error_json(
-            413, f"request body of {length} bytes exceeds the "
-                 f"{_MAX_BODY_BYTES} byte limit")
-        return None
-    try:
-        return handler.rfile.read(length) if length else b""
-    except OSError as exc:
-        handler._send_error_json(400, f"unreadable request body: {exc}")
-        return None
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Table-driven dispatch; every error is an enveloped JSON body."""
 
     server: ReproHTTPServer
     protocol_version = "HTTP/1.1"
     #: Quiet by default; flip for debugging.
     verbose = False
+    #: ``(name, help)`` of the request counter and the latency histogram.
+    requests_metric: tuple[str, str]
+    latency_metric: tuple[str, str]
+    _trace_id: str | None = None
+    _extra_headers: tuple[tuple[str, str], ...] = ()
+    _status = 0
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if self.verbose:  # pragma: no cover - debug aid
             super().log_message(format, *args)
 
     # ------------------------------------------------------------------
-    def _send_headers(self, status: int, content_type: str,
-                      length: int) -> None:
+    def _send_bytes(self, status: int, data: bytes, content_type: str,
+                    retry_after: int | None = None) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(length))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header(TRACE_HEADER, trace_id)
-        for name, value in getattr(self, "_extra_headers", ()):
+        if retry_after is not None:
+            self.send_header("Retry-After", str(retry_after))
+        self.send_header("Content-Length", str(len(data)))
+        if self._trace_id:
+            self.send_header(TRACE_HEADER, self._trace_id)
+        for name, value in self._extra_headers:
             self.send_header(name, value)
         self.end_headers()
         self._status = status
-
-    def _send_bytes(self, status: int, data: bytes,
-                    content_type: str) -> None:
-        self._send_headers(status, content_type, len(data))
         self.wfile.write(data)
 
-    def _send_json(self, status: int, body: dict | list) -> None:
+    def _send_json(self, status: int, body: dict | list,
+                   retry_after: int | None = None) -> None:
         self._send_bytes(status, json.dumps(body).encode("utf-8"),
-                         "application/json")
-
-    def _send_text(self, status: int, text: str,
-                   content_type: str = _PROMETHEUS_CONTENT_TYPE) -> None:
-        self._send_bytes(status, text.encode("utf-8"), content_type)
+                         "application/json", retry_after=retry_after)
 
     def _send_error_json(self, status: int, message: str,
-                         code: str | None = None) -> None:
+                         code: str | None = None,
+                         retry_after: int | None = None) -> None:
         self._send_json(status, error_envelope(
-            code or default_code(status), message,
-            trace_id=getattr(self, "_trace_id", None)))
+            code or default_code(status), message, trace_id=self._trace_id),
+            retry_after=retry_after)
 
     def _observe_request(self, endpoint: str, started: float) -> None:
         if not obs_enabled():
             return
         registry = get_registry()
-        registry.counter(
-            "repro_http_requests_total", "HTTP requests handled",
-            ("endpoint", "status")).inc(
-                endpoint=endpoint, status=getattr(self, "_status", 0))
-        registry.histogram(
-            "repro_http_request_seconds", "HTTP request handling time",
-            ("endpoint",)).observe(time.perf_counter() - started,
-                                   endpoint=endpoint)
+        registry.counter(*self.requests_metric, ("endpoint", "status")).inc(
+            endpoint=endpoint, status=self._status)
+        registry.histogram(*self.latency_metric, ("endpoint",)).observe(
+            time.perf_counter() - started, endpoint=endpoint)
+
+    # ------------------------------------------------------------------
+    def _read_body(self) -> bytes | None:
+        """Drain and return the request body, enforcing the size limit.
+
+        Returns ``None`` after refusing the body (bad or hostile
+        Content-Length, unreadable socket).  Answering before consuming
+        Content-Length bytes desyncs HTTP/1.1 keep-alive: the next request
+        would be parsed starting at the leftover body.
+        """
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError as exc:
+            return self._refuse_body(400, f"bad Content-Length: {exc}")
+        if length < 0:
+            # rfile.read(-1) would block reading until EOF, pinning the
+            # handler thread for as long as the client holds the socket.
+            return self._refuse_body(400, f"bad Content-Length: {length}")
+        if length > _MAX_BODY_BYTES:
+            return self._refuse_body(
+                413, f"request body of {length} bytes exceeds the "
+                     f"{_MAX_BODY_BYTES} byte limit")
+        try:
+            return self.rfile.read(length) if length else b""
+        except OSError as exc:
+            return self._refuse_body(400, f"unreadable request body: {exc}")
+
+    def _refuse_body(self, status: int, message: str) -> None:
+        """Answer a body left unread, then close the connection.
+
+        Sending ``Connection: close`` also sets ``close_connection``, so
+        the client learns the socket is done instead of reusing it.
+        """
+        self._extra_headers = (*self._extra_headers, ("Connection", "close"))
+        self._send_error_json(status, message)
+
+    @staticmethod
+    def _json_body(raw: bytes):
+        """Decode a JSON request body (empty means ``{}``)."""
+        try:
+            return json.loads(raw.decode("utf-8")) if raw else {}
+        except ValueError as exc:  # JSON and UTF-8 decode errors alike
+            raise ServingError(f"invalid JSON body: {exc}") from exc
+
+    @contextlib.contextmanager
+    def _request_trace(self, endpoint: str):
+        """Open the request's trace, adopting a valid ``X-Repro-Trace``.
+
+        The id is echoed on the response, so a client can find the
+        request's spans under ``/v1/stats?verbose=1``; the router forwards
+        it, so a worker's spans land on the router's trace.
+        """
+        incoming = self.headers.get(TRACE_HEADER)
+        trace_id = incoming if valid_trace_id(incoming) else None
+        with request_trace(endpoint, trace_id=trace_id) as trace:
+            if trace is not None:
+                self._trace_id = trace.trace_id
+            yield
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
@@ -263,30 +299,23 @@ class _Handler(BaseHTTPRequestHandler):
         path, versioned = split_version(raw_path)
         if not versioned:
             self._extra_headers = deprecation_headers(path)
-        raw = b""
-        if method == "POST":
-            # Drain the body before answering anything (even a 404):
-            # leaving it unread desyncs HTTP/1.1 keep-alive parsing.
-            body = read_request_body(self)
-            if body is None:
-                return
-            raw = body
         route, params = match_route(method, path)
         endpoint = route.endpoint if route is not None else "other"
+        # Drain the body before answering anything (even a 404).
+        raw = self._read_body() if method == "POST" else b""
         started = time.perf_counter()
         try:
+            if raw is None:
+                return  # refused while draining; already answered
             if route is None:
                 self._send_error_json(404, f"no such route: {self.path}",
                                       code="not_found")
-            elif method == "POST":
-                self._handle_post(route, params, raw)
+            elif endpoint.startswith("jobs_"):
+                self._handle_jobs(endpoint, params, query, raw)
+            elif endpoint == "openapi":
+                self._send_json(200, openapi_spec())
             else:
-                self._dispatch(route, params, query, {})
-        except _JobsDisabled:
-            self._send_error_json(
-                503, "the jobs API is not enabled on this server (pool "
-                     "workers defer jobs to the router)",
-                code="jobs_disabled")
+                self._dispatch(endpoint, params, path, query, raw)
         except Exception as exc:  # noqa: BLE001 - request boundary
             status, code = classify_exception(exc)
             message = (str(exc) if type(exc).__module__.startswith("repro")
@@ -295,34 +324,58 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             self._observe_request(endpoint, started)
 
-    def _handle_post(self, route: Route, params: dict, raw: bytes) -> None:
-        try:
-            payload = json.loads(raw.decode("utf-8")) if raw else {}
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
-            self._send_error_json(400, f"invalid JSON body: {exc}")
-            return
-        # Propagate the router's trace id (or mint one at this edge) so
-        # the batcher/embed spans land on the request's trace and the
-        # client can correlate via the response header.
-        incoming = self.headers.get(TRACE_HEADER)
-        trace_id = incoming if valid_trace_id(incoming) else None
-        with request_trace(route.endpoint, trace_id=trace_id) as trace:
-            if trace is not None:
-                self._trace_id = trace.trace_id
-            self._dispatch(route, params, "", payload)
+    def _dispatch(self, endpoint: str, params: dict, path: str, query: str,
+                  raw: bytes) -> None:
+        """Answer a matched route; ``path`` is unversioned, ``raw`` drained."""
+        raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    def _jobs_manager(self) -> JobManager:
+    def _handle_jobs(self, endpoint: str, params: dict, query: str,
+                     raw: bytes) -> None:
+        """Answer jobs routes from the server's :class:`JobManager`."""
         jobs = self.server.jobs
         if jobs is None:
-            raise _JobsDisabled()
-        return jobs
+            self._send_error_json(
+                503, "the jobs API is not enabled on this server (in a "
+                     "pool, the router owns jobs)", code="jobs_disabled")
+        elif endpoint == "jobs_submit":
+            description, created = jobs.submit(self._json_body(raw))
+            # Echo the job's own trace id: its lifecycle logs carry it.
+            self._trace_id = description.get("trace_id") or None
+            self._send_json(201 if created else 200, description)
+        elif endpoint == "jobs_list":
+            self._send_json(200, {"jobs": jobs.list_jobs()})
+        elif endpoint == "jobs_get":
+            self._send_json(200, jobs.get(params["id"]))
+        elif endpoint == "jobs_cancel":
+            self._send_json(200, jobs.cancel(params["id"]))
+        else:  # jobs_result
+            fmt = query_value(query, "format") or "json"
+            data, content_type = jobs.result_bytes(params["id"], fmt)
+            self._send_bytes(200, data, content_type)
 
-    def _dispatch(self, route: Route, params: dict, query: str,
-                  payload: dict) -> None:
+
+class _Handler(_BaseHandler):
+    """The single server and every pool worker: answer from the service."""
+
+    requests_metric = ("repro_http_requests_total", "HTTP requests handled")
+    latency_metric = ("repro_http_request_seconds",
+                      "HTTP request handling time")
+
+    def _dispatch(self, endpoint: str, params: dict, path: str, query: str,
+                  raw: bytes) -> None:
         service = self.server.service
-        endpoint = route.endpoint
-        if endpoint == "healthz":
+        if endpoint in ("predict", "neighbors", "search"):
+            payload = self._json_body(raw)
+            with self._request_trace(endpoint):
+                if endpoint == "search":
+                    self._send_json(200, service.search(payload))
+                elif endpoint == "predict":
+                    self._send_json(200, service.predict(params["name"],
+                                                         payload))
+                else:
+                    self._send_json(200, service.neighbors(params["name"],
+                                                           payload))
+        elif endpoint == "healthz":
             self._send_json(200, service.health())
         elif endpoint == "models":
             self._send_json(200, service.models())
@@ -333,36 +386,12 @@ class _Handler(BaseHTTPRequestHandler):
             if query_value(query, "format") == "json":
                 self._send_json(200, get_registry().snapshot())
             else:
-                self._send_text(200, render_prometheus(get_registry()))
-        elif endpoint == "openapi":
-            self._send_json(200, openapi_spec())
-        elif endpoint == "predict":
-            self._send_json(200, service.predict(params["name"], payload))
-        elif endpoint == "neighbors":
-            self._send_json(200, service.neighbors(params["name"], payload))
-        elif endpoint == "search":
-            self._send_json(200, service.search(payload))
-        elif endpoint == "jobs_submit":
-            description, created = self._jobs_manager().submit(payload)
-            self._send_json(201 if created else 200, description)
-        elif endpoint == "jobs_list":
-            self._send_json(200, {"jobs": self._jobs_manager().list_jobs()})
-        elif endpoint == "jobs_get":
-            self._send_json(200, self._jobs_manager().get(params["id"]))
-        elif endpoint == "jobs_cancel":
-            self._send_json(200, self._jobs_manager().cancel(params["id"]))
-        elif endpoint == "jobs_result":
-            fmt = query_value(query, "format") or "json"
-            data, content_type = self._jobs_manager().result_bytes(
-                params["id"], fmt)
-            self._send_bytes(200, data, content_type)
+                self._send_bytes(
+                    200, render_prometheus(get_registry()).encode("utf-8"),
+                    _PROMETHEUS_CONTENT_TYPE)
         else:  # pragma: no cover - table and dispatch are kept in sync
             self._send_error_json(404, f"no handler for {endpoint!r}",
                                   code="not_found")
-
-
-class _JobsDisabled(Exception):
-    """Raised when a jobs route is hit on a server without a manager."""
 
 
 def create_server(model_dir: str | Path, *, host: str = "127.0.0.1",

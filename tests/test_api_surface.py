@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import time
 from pathlib import Path
 
 import pytest
 
+from repro.serve import http as serve_http
 from repro.serve.errors import (
     ERROR_CODES,
     classify_exception,
@@ -140,7 +143,13 @@ class TestErrorCodes:
 
 
 class _SurfaceChecks:
-    """Shared live-surface assertions, run against a port."""
+    """Shared live-surface assertions and tests, run against a port.
+
+    Each front end supplies a ``port`` fixture and ``requests_family``,
+    the name of its request counter.
+    """
+
+    requests_family: str
 
     @staticmethod
     def assert_all_routes_answer(port: int):
@@ -198,7 +207,90 @@ class _SurfaceChecks:
         assert json.loads(data)["error"]["code"] == "not_found"
 
 
+    # -- body drain: refused bodies and keep-alive ------------------------
+    def test_oversized_body_rejected_with_413(self, port, monkeypatch):
+        monkeypatch.setattr(serve_http, "_MAX_BODY_BYTES", 1024)
+        connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=10)
+        connection.request(
+            "POST", "/models/webtables/predict", body=b"x" * 4096,
+            headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        assert response.status == 413
+        assert b"limit" in response.read()
+        connection.close()
+
+    def test_negative_content_length_rejected(self, port):
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /models/webtables/predict HTTP/1.1\r\n"
+                         b"Host: localhost\r\n"
+                         b"Content-Length: -1\r\n\r\n")
+            sock.settimeout(10)
+            response = sock.recv(4096)
+        assert b"400" in response.split(b"\r\n", 1)[0]
+
+    def test_keep_alive_survives_a_404_post(self, port):
+        """The 404 branch must drain the body or break keep-alive clients."""
+        connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=10)
+        body = json.dumps({"items": [{"headers": ["a", "b"]}]})
+        connection.request("POST", "/no/such/route", body=body,
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        assert response.status == 404
+        response.read()
+        # Same connection: the next request must parse cleanly.
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+        connection.close()
+
+    def test_refused_body_closes_cleanly_and_is_counted(self, port,
+                                                        monkeypatch):
+        """A 413 says ``Connection: close`` (so the client's next request
+        reconnects instead of hitting a dead socket) and is counted
+        under the matched route."""
+        monkeypatch.setattr(serve_http, "_MAX_BODY_BYTES", 1024)
+        before = self._refused_count(port)
+        connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=10)
+        connection.request(
+            "POST", "/v1/models/webtables/predict", body=b"x" * 4096,
+            headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        assert response.status == 413
+        assert response.getheader("Connection") == "close"
+        response.read()
+        # Same client connection: it must answer the next request.
+        connection.request("GET", "/v1/healthz")
+        response = connection.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+        connection.close()
+        # The count lands as the handler thread finishes; poll briefly.
+        deadline = time.monotonic() + 10
+        while self._refused_count(port) == before:
+            assert time.monotonic() < deadline, "413 was never counted"
+            time.sleep(0.05)
+        assert self._refused_count(port) == before + 1
+
+    def _refused_count(self, port: int) -> float:
+        _, _, data = _request(port, "GET", "/v1/metrics?format=json")
+        family = json.loads(data).get(self.requests_family, {})
+        return sum(series["value"] for series in family.get("series", [])
+                   if series["labels"].get("endpoint") == "predict"
+                   and str(series["labels"].get("status")) == "413")
+
+
 class TestSingleServerSurface(_SurfaceChecks):
+    requests_family = "repro_http_requests_total"
+
+    @pytest.fixture()
+    def port(self, http_server, model_dir):
+        return http_server(model_dir)[1]
+
     def test_surface(self, http_server, model_dir):
         _, port = http_server(model_dir)
         self.assert_all_routes_answer(port)
@@ -208,6 +300,12 @@ class TestSingleServerSurface(_SurfaceChecks):
 
 
 class TestPoolRouterSurface(_SurfaceChecks):
+    requests_family = "repro_router_requests_total"
+
+    @pytest.fixture()
+    def port(self, pool_server, model_dir):
+        return pool_server(model_dir, workers=2)[1]
+
     def test_surface(self, pool_server, model_dir):
         _, port = pool_server(model_dir, workers=2)
         self.assert_all_routes_answer(port)

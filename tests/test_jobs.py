@@ -13,7 +13,9 @@ Exercises the tentpole of the jobs tier end to end over HTTP:
 * crash-safe persistence — a restarted server still serves completed
   results and reports mid-flight jobs as ``interrupted``;
 * jobs over the ``--workers N`` pool: the router owns the single job
-  manager (global dedup), workers answer ``jobs_disabled``.
+  manager (global dedup), workers answer ``jobs_disabled``;
+* a submission's ``X-Repro-Trace`` header is the job's own trace id on
+  both front ends.
 """
 
 from __future__ import annotations
@@ -363,6 +365,35 @@ class TestJobsOverPool:
         worker_port = router.pool.address_of(0)[1]
         status, body = _json(worker_port, "GET", "/v1/jobs")
         assert status == 503 and body["error"]["code"] == "jobs_disabled"
+
+
+class TestJobTraceHeader:
+    @pytest.mark.parametrize("shape", ["single", "pool"])
+    def test_submit_echoes_the_job_trace_id(self, shape, http_server,
+                                            pool_server, model_dir,
+                                            monkeypatch):
+        """``X-Repro-Trace`` on a submission is the job's ``trace_id``,
+        the id its lifecycle logs carry, on both front ends."""
+        class _Row:
+            def as_row(self):
+                return {"Dataset": "webtables"}
+
+        monkeypatch.setattr("repro.serve.jobs.execute_cell",
+                            lambda task, cell: _Row())
+        if shape == "single":
+            _, port = http_server(model_dir)
+        else:
+            _, port = pool_server(model_dir, workers=2)
+        status, headers, data = _request(port, "POST", "/v1/jobs", SPEC)
+        body = json.loads(data)
+        assert status == 201, body
+        assert headers["X-Repro-Trace"] == body["trace_id"]
+        _wait_for_status(port, body["id"], ("completed",))
+        # A deduplicated resubmission echoes the same job's id.
+        status, headers, data = _request(port, "POST", "/v1/jobs", SPEC)
+        assert status == 200
+        assert headers["X-Repro-Trace"] == body["trace_id"] == \
+            json.loads(data)["trace_id"]
 
 
 class TestSubmitValidation:

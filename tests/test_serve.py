@@ -477,57 +477,6 @@ class TestHTTPServer:
         assert error["code"] == "bad_request"
         assert "must be finite" in error["message"]
 
-    def test_oversized_body_rejected_with_413(self, model_dir, http_server,
-                                              monkeypatch):
-        import http.client
-
-        from repro.serve import http as serve_http
-
-        monkeypatch.setattr(serve_http, "_MAX_BODY_BYTES", 1024)
-        _server, port = http_server(model_dir)
-        connection = http.client.HTTPConnection("127.0.0.1", port,
-                                                timeout=10)
-        connection.request(
-            "POST", "/models/webtables/predict", body=b"x" * 4096,
-            headers={"Content-Type": "application/json"})
-        response = connection.getresponse()
-        assert response.status == 413
-        assert b"limit" in response.read()
-        connection.close()
-
-    def test_negative_content_length_rejected(self, model_dir, http_server):
-        import socket
-
-        _server, port = http_server(model_dir)
-        with socket.create_connection(("127.0.0.1", port),
-                                      timeout=10) as sock:
-            sock.sendall(b"POST /models/webtables/predict HTTP/1.1\r\n"
-                         b"Host: localhost\r\n"
-                         b"Content-Length: -1\r\n\r\n")
-            sock.settimeout(10)
-            response = sock.recv(4096)
-        assert b"400" in response.split(b"\r\n", 1)[0]
-
-    def test_keep_alive_survives_a_404_post(self, model_dir, http_server):
-        """The 404 branch must drain the body or break keep-alive clients."""
-        import http.client
-
-        _server, port = http_server(model_dir)
-        connection = http.client.HTTPConnection("127.0.0.1", port,
-                                                timeout=10)
-        body = json.dumps({"items": [{"headers": ["a", "b"]}]})
-        connection.request("POST", "/no/such/route", body=body,
-                           headers={"Content-Type": "application/json"})
-        response = connection.getresponse()
-        assert response.status == 404
-        response.read()
-        # Same connection: the next request must parse cleanly.
-        connection.request("GET", "/healthz")
-        response = connection.getresponse()
-        assert response.status == 200
-        assert json.loads(response.read())["status"] == "ok"
-        connection.close()
-
 
 class TestPredictService:
     def test_vectors_must_be_numeric_and_2d(self, tmp_path):
